@@ -89,12 +89,10 @@ pub struct DisPcaOutput {
 /// computes local SVD `A_Pi = U_iΣ_iV_iᵀ`", and BKLW's
 /// `O(nd·min(n,d))` complexity (Theorem 5.3) comes precisely from this
 /// step — swapping in a randomized SVD would erase the complexity
-/// separation from Algorithm 4 that the paper measures.
+/// separation from Algorithm 4 that the paper measures. `U_i` is never
+/// shipped, so it is never formed ([`svd::right_svd`]).
 pub(crate) fn local_svd_summary(data: &Matrix, t: usize) -> Result<(Vec<f64>, Matrix)> {
-    let max_rank = data.rows().min(data.cols());
-    let t = t.min(max_rank);
-    let s = svd::thin_svd(data)?.truncate(t)?;
-    Ok((s.singular_values, s.v))
+    Ok(svd::right_svd(data, t)?)
 }
 
 /// The canonical `next_2_power` pairwise merge schedule over `m` leaves:
@@ -164,7 +162,7 @@ fn wire_roundtrip_summary(
 }
 
 /// The canonical pairwise disPCA merge: stacks `[Σ_aV_aᵀ; Σ_bV_bᵀ]`,
-/// takes the thin SVD truncated to rank `t`, and roundtrips the result
+/// takes its top-`t` `(σ, V)` ([`svd::right_svd`]), and roundtrips the result
 /// through its wire encoding. Used identically by the server-side fold
 /// and by tree-mode executors merging a peer's summary.
 pub(crate) fn dispca_merge_pair(
@@ -174,9 +172,8 @@ pub(crate) fn dispca_merge_pair(
     precision: Precision,
 ) -> Result<(Vec<f64>, Matrix)> {
     let y = scaled_stack(&a.0, &a.1).vstack(&scaled_stack(&b.0, &b.1))?;
-    let rank = t.min(y.rows().min(y.cols()));
-    let s = svd::thin_svd(&y)?.truncate(rank)?;
-    wire_roundtrip_summary(s.singular_values, s.v, precision)
+    let (singular_values, v) = svd::right_svd(&y, t)?;
+    wire_roundtrip_summary(singular_values, v, precision)
 }
 
 /// Folds the summaries along [`merge_schedule`] down to a single summary.
@@ -216,9 +213,7 @@ pub(crate) fn dispca_global_basis(
     precision: Precision,
 ) -> Result<Matrix> {
     let (sv, v) = dispca_fold(summaries, t, precision)?;
-    let y = scaled_stack(&sv, &v);
-    let global_rank = t.min(y.rows().min(y.cols()));
-    Ok(svd::thin_svd(&y)?.truncate(global_rank)?.v)
+    Ok(svd::right_svd(&scaled_stack(&sv, &v), t)?.1)
 }
 
 /// Merges two encoded-and-decoded summary messages of the same kind —

@@ -31,6 +31,12 @@ pub enum LinalgError {
         /// Number of iterations performed before giving up.
         iterations: usize,
     },
+    /// An input held a NaN or an infinity where only finite values make
+    /// sense.
+    NonFinite {
+        /// Human-readable name of the failing operation.
+        op: &'static str,
+    },
     /// A requested rank/dimension exceeds what the matrix can provide.
     RankOutOfRange {
         /// The rank that was requested.
@@ -56,6 +62,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::ConvergenceFailure { op, iterations } => {
                 write!(f, "{op} failed to converge after {iterations} iterations")
+            }
+            LinalgError::NonFinite { op } => {
+                write!(f, "non-finite value in the input to {op}")
             }
             LinalgError::RankOutOfRange {
                 requested,
@@ -96,11 +105,20 @@ mod tests {
     #[test]
     fn display_convergence_failure() {
         let e = LinalgError::ConvergenceFailure {
-            op: "jacobi",
+            op: "symmetric_eigen",
             iterations: 100,
         };
-        assert!(e.to_string().contains("jacobi"));
+        assert!(e.to_string().contains("symmetric_eigen"));
         assert!(e.to_string().contains("100"));
+    }
+
+    #[test]
+    fn display_non_finite() {
+        let e = LinalgError::NonFinite {
+            op: "symmetric_eigen",
+        };
+        assert!(e.to_string().contains("non-finite"));
+        assert!(e.to_string().contains("symmetric_eigen"));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! * basic operations: products, Gram matrices, transposes ([`ops`]),
 //! * blocked pairwise-distance / nearest-center kernels ([`distance`]),
 //! * Householder QR ([`qr`]),
-//! * a cyclic Jacobi eigensolver for symmetric matrices ([`eig`]),
-//! * thin and randomized truncated SVD ([`svd`]),
+//! * a symmetric eigensolver ([`eig`]): Householder tridiagonalization
+//!   plus implicit-shift QL, `O(d³)` — a lower-order term beside the
+//!   `O(nd²)` Gram product that feeds it,
+//! * thin, `U`-free and randomized truncated SVD ([`svd`]),
 //! * Cholesky factorization and SPD solves ([`cholesky`]),
 //! * Moore–Penrose pseudo-inverse ([`pinv`]) used to invert JL projections,
 //! * seeded Gaussian / Rademacher sampling ([`random`]) used to build

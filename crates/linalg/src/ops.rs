@@ -145,11 +145,9 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 
 /// Computes `Aᵀ · B`.
 ///
-/// The rank-1 accumulation over rows is sharded into fixed
-/// [`ACCUM_CHUNK`]-row chunks whose partial products are computed on up
-/// to [`parallel::worker_count`] scoped workers and folded in chunk
-/// order — chunk boundaries and fold order depend only on `n`, so the
-/// result is **bitwise invariant across worker counts**.
+/// The rank-1 accumulation over rows runs through the fixed-chunk fold of
+/// [`accumulate_rows`], so the result is **bitwise invariant across
+/// worker counts**.
 ///
 /// # Errors
 ///
@@ -162,50 +160,84 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let (n, da, db) = (a.rows(), a.cols(), b.cols());
+    let (da, db) = (a.cols(), b.cols());
+    let c = accumulate_rows(a.rows(), da, db, |i, p| {
+        let brow = b.row(i);
+        for (j, &aij) in a.row(i).iter().enumerate() {
+            if aij == 0.0 {
+                continue;
+            }
+            let prow = &mut p[j * db..(j + 1) * db];
+            for (pv, &bv) in prow.iter_mut().zip(brow) {
+                *pv += aij * bv;
+            }
+        }
+    });
+    Ok(Matrix::from_vec(da, db, c))
+}
+
+/// Sums the rank-1 contributions `row(i, partial)` of rows `0..n` into a
+/// `da × db` buffer.
+///
+/// Rows are accumulated in order within fixed [`ACCUM_CHUNK`]-row chunks,
+/// whose partials are computed on up to [`parallel::worker_count`] scoped
+/// workers and folded in chunk order — chunk boundaries and fold order
+/// depend only on `n`, so the result is **bitwise invariant across worker
+/// counts**.
+fn accumulate_rows<F>(n: usize, da: usize, db: usize, row: F) -> Vec<f64>
+where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
     let n_chunks = n.div_ceil(ACCUM_CHUNK).max(1);
     let workers = if n * da * db >= PAR_FLOPS_THRESHOLD {
         parallel::worker_count().min(n_chunks)
     } else {
         1
     };
-    // Per-chunk rank-1 partials, accumulated in row order within the
-    // chunk: cache friendly for both operands.
     let partials = parallel::par_map_indices_in(n_chunks, workers, |chunk| {
         let start = chunk * ACCUM_CHUNK;
-        let end = (start + ACCUM_CHUNK).min(n);
         let mut p = vec![0.0f64; da * db];
-        for i in start..end {
-            let arow = a.row(i);
-            let brow = b.row(i);
-            for (j, &aij) in arow.iter().enumerate() {
-                if aij == 0.0 {
-                    continue;
-                }
-                let prow = &mut p[j * db..(j + 1) * db];
-                for (pv, &bv) in prow.iter_mut().zip(brow) {
-                    *pv += aij * bv;
-                }
-            }
+        for i in start..(start + ACCUM_CHUNK).min(n) {
+            row(i, &mut p);
         }
         p
     });
-    let mut c = Matrix::zeros(da, db);
-    let cs = c.as_mut_slice();
+    let mut c = vec![0.0f64; da * db];
     for p in partials {
-        for (cv, pv) in cs.iter_mut().zip(&p) {
+        for (cv, pv) in c.iter_mut().zip(&p) {
             *cv += pv;
         }
     }
-    Ok(c)
+    c
 }
 
-/// Computes the Gram matrix `Aᵀ · A` (symmetric `d × d`) via the
-/// sharded [`matmul_transa`] fold (bitwise invariant across worker
-/// counts).
+/// Computes the Gram matrix `Aᵀ · A` (symmetric `d × d`).
+///
+/// Only the upper triangle is accumulated, through the same fixed-chunk
+/// fold as [`matmul_transa`], and then mirrored: half the multiply-adds,
+/// and for finite input **bitwise equal** to `matmul_transa(a, a)` (each
+/// element sums the same products in the same order, and IEEE
+/// multiplication commutes). Bitwise invariant across worker counts.
 pub fn gram(a: &Matrix) -> Matrix {
-    // Unwrap is fine: shapes always agree with themselves.
-    matmul_transa(a, a).expect("gram: self shapes agree")
+    let d = a.cols();
+    let mut c = accumulate_rows(a.rows(), d, d, |i, p| {
+        let arow = a.row(i);
+        for (j, &aij) in arow.iter().enumerate() {
+            if aij == 0.0 {
+                continue;
+            }
+            let prow = &mut p[j * d + j..(j + 1) * d];
+            for (pv, &bv) in prow.iter_mut().zip(&arow[j..]) {
+                *pv += aij * bv;
+            }
+        }
+    });
+    for j in 0..d {
+        for k in 0..j {
+            c[j * d + k] = c[k * d + j];
+        }
+    }
+    Matrix::from_vec(d, d, c)
 }
 
 /// Computes the outer Gram matrix `A · Aᵀ` (symmetric `n × n`).
@@ -434,6 +466,33 @@ mod tests {
                 "{workers} workers"
             );
             assert!(gram(&a) == gram_ref, "{workers} workers");
+        }
+        parallel::set_worker_count(0);
+    }
+
+    #[test]
+    fn gram_bitwise_equals_matmul_transa_at_every_worker_count() {
+        // Row counts on, just past and well past ACCUM_CHUNK boundaries
+        // (ragged last chunk), with sparse zeros so the skip branch and
+        // the mirrored lower triangle both see them; 3073 · 37² ≥ 2^22
+        // takes the parallel path.
+        for n in [1usize, 1023, 1024, 1025, 3073] {
+            let a = Matrix::from_fn(n, 37, |i, j| {
+                let v = ((i * 31 + j * 17) % 113) as f64 - 56.0;
+                if (i + 3 * j) % 7 == 0 {
+                    0.0
+                } else {
+                    v * 0.013 + 1e-9 * (i as f64)
+                }
+            });
+            for workers in [1, 2, 4, 8] {
+                parallel::set_worker_count(workers);
+                let g = gram(&a);
+                let reference = matmul_transa(&a, &a).unwrap();
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g), bits(&reference), "n={n}, {workers} workers");
+            }
         }
         parallel::set_worker_count(0);
     }

@@ -1,12 +1,15 @@
 //! Thin and randomized truncated singular value decompositions.
 //!
 //! FSS and disPCA need the top-`t` right singular vectors of a dataset
-//! matrix `A ∈ R^{n×d}` (rows are points). Two routes are provided:
+//! matrix `A ∈ R^{n×d}` (rows are points). Three routes are provided:
 //!
-//! * [`thin_svd`] — exact (to Jacobi precision) via the eigendecomposition
-//!   of the smaller Gram matrix (`AᵀA` or `AAᵀ`), complexity
-//!   `O(nd·min(n,d))`, exactly the complexity the paper charges FSS/BKLW
-//!   with (Theorems 4.3 / 5.3);
+//! * [`thin_svd`] — exact via the eigendecomposition of the smaller Gram
+//!   matrix (`AᵀA` or `AAᵀ`): the `O(nd·min(n,d))` Gram product, exactly
+//!   the complexity the paper charges FSS/BKLW with (Theorems 4.3 / 5.3),
+//!   plus an `O(min(n,d)³)` tridiagonal-QL eigensolve ([`eig`]);
+//! * [`right_svd`] — the same exact `(σ, V)` without `U`, for the PCA and
+//!   disPCA callers that never read it: on tall input it skips the
+//!   `O(nd²)` product `A·V` that `U` would cost;
 //! * [`truncated_svd`] — randomized subspace iteration computing only the
 //!   top-`t` triple, used where speed matters more than the last digits.
 
@@ -85,7 +88,8 @@ const SV_RELATIVE_TOL: f64 = 1e-12;
 /// # Errors
 ///
 /// * [`LinalgError::EmptyMatrix`] for an empty input.
-/// * Propagates Jacobi convergence failures.
+/// * Propagates eigensolver failures ([`LinalgError::NonFinite`] input,
+///   QL convergence failure).
 pub fn thin_svd(a: &Matrix) -> Result<Svd> {
     if a.is_empty() {
         return Err(LinalgError::EmptyMatrix { op: "thin_svd" });
@@ -93,9 +97,7 @@ pub fn thin_svd(a: &Matrix) -> Result<Svd> {
     let (n, d) = a.shape();
     if d <= n {
         // Eigen of AᵀA (d×d): A = U Σ Vᵀ with AᵀA = V Σ² Vᵀ.
-        let e = eig::symmetric_eigen(&ops::gram(a))?;
-        let sigmas: Vec<f64> = e.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let v = e.vectors; // d × d
+        let (sigmas, v) = gram_eigen(&ops::gram(a))?; // V is d × d
         let u = left_vectors_from_right(a, &v, &sigmas)?;
         Ok(Svd {
             u,
@@ -104,9 +106,7 @@ pub fn thin_svd(a: &Matrix) -> Result<Svd> {
         })
     } else {
         // Eigen of AAᵀ (n×n): U from eigenvectors, V = Aᵀ U Σ⁻¹.
-        let e = eig::symmetric_eigen(&ops::outer_gram(a))?;
-        let sigmas: Vec<f64> = e.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let u = e.vectors; // n × n
+        let (sigmas, u) = gram_eigen(&ops::outer_gram(a))?; // U is n × n
         let v = left_vectors_from_right(&a.transpose(), &u, &sigmas)?;
         Ok(Svd {
             u,
@@ -114,6 +114,54 @@ pub fn thin_svd(a: &Matrix) -> Result<Svd> {
             v,
         })
     }
+}
+
+/// Computes the top-`t` singular values and right singular vectors
+/// `(σ, V)` of `a` (`V` is `d × t`), with `t` clamped to `min(n, d)`.
+///
+/// Bit-identical to `thin_svd(a)?.truncate(t)` restricted to `(σ, V)`,
+/// but on tall input (`d ≤ n`) it never forms `U = A·V·Σ⁻¹`: the
+/// `O(nd²)` product and the `n × d` allocation that PCA and disPCA would
+/// only discard. Wide input needs `U` to reach `V`, and lifts only the
+/// `t` kept columns of it.
+///
+/// # Errors
+///
+/// Same as [`thin_svd`].
+///
+/// # Example
+///
+/// ```
+/// use ekm_linalg::{Matrix, svd};
+/// let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0], vec![0.0, 0.0]]);
+/// let (sigmas, v) = svd::right_svd(&a, 1).unwrap();
+/// assert!((sigmas[0] - 4.0).abs() < 1e-12);
+/// assert_eq!(v.shape(), (2, 1));
+/// ```
+pub fn right_svd(a: &Matrix, t: usize) -> Result<(Vec<f64>, Matrix)> {
+    if a.is_empty() {
+        return Err(LinalgError::EmptyMatrix { op: "right_svd" });
+    }
+    let (n, d) = a.shape();
+    let t = t.min(n).min(d);
+    if d <= n {
+        let (sigmas, v) = gram_eigen(&ops::gram(a))?;
+        Ok((sigmas[..t].to_vec(), v.first_cols(t)?))
+    } else {
+        // Each column of `Aᵀ·U·Σ⁻¹` depends only on its own column of
+        // `U`, so lifting just the kept `t` matches `thin_svd` bit for bit.
+        let (mut sigmas, u) = gram_eigen(&ops::outer_gram(a))?;
+        let v = left_vectors_from_right(&a.transpose(), &u.first_cols(t)?, &sigmas)?;
+        sigmas.truncate(t);
+        Ok((sigmas, v))
+    }
+}
+
+/// Singular values `√max(λ, 0)` and eigenvectors of a Gram matrix.
+fn gram_eigen(gram: &Matrix) -> Result<(Vec<f64>, Matrix)> {
+    let e = eig::symmetric_eigen(gram)?;
+    let sigmas = e.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
+    Ok((sigmas, e.vectors))
 }
 
 /// Given `A` (n×d), right singular vectors `V` (d×t) and singular values,
@@ -202,34 +250,6 @@ pub fn truncated_svd(a: &Matrix, t: usize, opts: &TruncatedSvdOptions) -> Result
         v: sb.v,
     };
     full.truncate(t)
-}
-
-/// Returns the top-`t` right singular vectors of `a` as a `d × t` matrix,
-/// choosing the exact Gram route (small `min(n,d)`) or the randomized route.
-///
-/// This is the primitive FSS and disPCA are built on.
-///
-/// # Errors
-///
-/// Propagates errors from the chosen SVD routine.
-pub fn top_right_singular_vectors(a: &Matrix, t: usize) -> Result<Matrix> {
-    let max_rank = a.rows().min(a.cols());
-    let t = t.min(max_rank);
-    if t == 0 {
-        return Err(LinalgError::RankOutOfRange {
-            requested: 0,
-            available: max_rank,
-        });
-    }
-    // Exact route when the Gram side is small or t is a large fraction.
-    let small_side = a.cols().min(a.rows());
-    if small_side <= 400 || t * 4 >= small_side {
-        let s = thin_svd(a)?;
-        s.truncate(t).map(|s| s.v)
-    } else {
-        let s = truncated_svd(a, t, &TruncatedSvdOptions::default())?;
-        Ok(s.v)
-    }
 }
 
 #[cfg(test)]
@@ -348,17 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn top_right_singular_vectors_projection_captures_energy() {
-        let a = low_rank(51, 40, 12, 2);
-        let v = top_right_singular_vectors(&a, 2).unwrap();
-        assert_eq!(v.shape(), (12, 2));
-        // Projecting onto V should preserve nearly all Frobenius energy.
-        let av = ops::matmul(&a, &v).unwrap();
-        let energy = av.frobenius_norm_sq();
-        assert!((energy - a.frobenius_norm_sq()).abs() < 1e-6 * a.frobenius_norm_sq());
-    }
-
-    #[test]
     fn empty_inputs_error() {
         assert!(thin_svd(&Matrix::zeros(0, 3)).is_err());
         assert!(truncated_svd(&Matrix::zeros(0, 3), 1, &TruncatedSvdOptions::default()).is_err());
@@ -370,5 +379,44 @@ mod tests {
         let s = thin_svd(&a).unwrap();
         assert!(s.singular_values.iter().all(|&v| v == 0.0));
         assert!(s.reconstruct().unwrap().approx_eq(&a, 1e-12));
+    }
+
+    #[test]
+    fn right_svd_bitwise_matches_thin_svd() {
+        // Tall, square and wide; rank-deficient so some σ are zero.
+        let shapes = [(40, 7, 0), (9, 9, 0), (6, 23, 0), (30, 12, 3), (5, 18, 2)];
+        for (n, d, rank) in shapes {
+            let a = if rank == 0 {
+                gaussian_matrix(52 + n as u64, n, d, 1.0)
+            } else {
+                low_rank(53 + d as u64, n, d, rank)
+            };
+            let full = thin_svd(&a).unwrap();
+            for t in [0, 1, n.min(d) / 2, n.min(d), n.min(d) + 5] {
+                let (sigmas, v) = right_svd(&a, t).unwrap();
+                let want = full.truncate(t.min(n.min(d))).unwrap();
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sigmas), bits(&want.singular_values), "{n}x{d} t={t}");
+                assert_eq!(v.shape(), want.v.shape(), "{n}x{d} t={t}");
+                assert_eq!(bits(v.as_slice()), bits(want.v.as_slice()), "{n}x{d} t={t}");
+            }
+        }
+        assert!(right_svd(&Matrix::zeros(0, 3), 1).is_err());
+    }
+
+    #[test]
+    fn svd_propagates_non_finite_input_as_typed_error() {
+        let mut a = gaussian_matrix(54, 8, 3, 1.0);
+        a[(2, 1)] = f64::NAN;
+        assert!(matches!(thin_svd(&a), Err(LinalgError::NonFinite { .. })));
+        assert!(matches!(
+            right_svd(&a, 2),
+            Err(LinalgError::NonFinite { .. })
+        ));
+        a[(2, 1)] = f64::INFINITY;
+        assert!(matches!(
+            right_svd(&a.transpose(), 2),
+            Err(LinalgError::NonFinite { .. })
+        ));
     }
 }
