@@ -46,6 +46,9 @@ struct PerfScale {
     pipeline_d: usize,
     /// Measured command rounds per reactor backend (loopback latency).
     reactor_rounds: usize,
+    /// `(label, n, k, m)` shapes of the pipeline-shaped `matmul` rows:
+    /// the JL projection `A·Π` and the disPCA basis projection.
+    matmul_sizes: &'static [(&'static str, usize, usize, usize)],
 }
 
 const SMOKE: PerfScale = PerfScale {
@@ -54,6 +57,7 @@ const SMOKE: PerfScale = PerfScale {
     pipeline_n: 1_500,
     pipeline_d: 32,
     reactor_rounds: 300,
+    matmul_sizes: &[("jl", 2_000, 784, 392), ("dispca", 10_000, 128, 115)],
 };
 
 /// The assignment-dominated shapes the perf trajectory tracks (the
@@ -64,6 +68,7 @@ const FULL: PerfScale = PerfScale {
     pipeline_n: 6_000,
     pipeline_d: 64,
     reactor_rounds: 2_000,
+    matmul_sizes: &[("jl", 20_000, 784, 392), ("dispca", 100_000, 128, 115)],
 };
 
 fn perf_scale() -> &'static PerfScale {
@@ -73,7 +78,7 @@ fn perf_scale() -> &'static PerfScale {
     }
 }
 
-fn bench_linalg(c: &mut Criterion) {
+fn bench_linalg(c: &mut Criterion, scale: &PerfScale) {
     let mut g = c.benchmark_group("linalg");
     for &n in &[64usize, 128] {
         let a = gaussian_matrix(1, n, n, 1.0);
@@ -99,6 +104,15 @@ fn bench_linalg(c: &mut Criterion) {
             svd::truncated_svd(black_box(&data), 8, &svd::TruncatedSvdOptions::default()).unwrap()
         })
     });
+    g.sample_size(5);
+    for &(label, n, k, m) in scale.matmul_sizes {
+        let a = gaussian_matrix(10, n, k, 1.0);
+        let b = gaussian_matrix(11, k, m, 1.0);
+        let id = format!("{label}_{n}x{k}x{m}");
+        g.bench_with_input(BenchmarkId::new("matmul", id), &n, |bench, _| {
+            bench.iter(|| ops::matmul(black_box(&a), black_box(&b)).unwrap())
+        });
+    }
     g.finish();
 }
 
@@ -170,7 +184,7 @@ fn assign_scalar_seq(points: &Matrix, centers: &Matrix) -> (Vec<usize>, Vec<f64>
         .unzip()
 }
 
-/// The reduction-form `A·Bᵀ` the tiled kernel replaced: one serial dot
+/// The reduction-form `A·Bᵀ` baseline `matmul_transb` replaced: one serial dot
 /// per output element, parallelized over rows of `A`.
 fn matmul_transb_reduction(a: &Matrix, b: &Matrix) -> Matrix {
     let (n, m) = (a.rows(), b.rows());
@@ -190,7 +204,9 @@ fn matmul_transb_reduction(a: &Matrix, b: &Matrix) -> Matrix {
 /// outer-Gram shape the SVD route hits.
 const TRANSB_SIZES: &[(usize, usize, usize)] = &[(4_000, 16, 196), (1_000, 48, 1_000)];
 
-/// Tiled i-k-j `matmul_transb` vs the reduction-form dot kernel.
+/// `matmul_transb` (the packed-panel GEMM kernel; the rows keep the
+/// `tiled` name of the kernel they first timed) vs the reduction-form
+/// dot kernel.
 fn bench_transb(c: &mut Criterion) {
     let mut g = c.benchmark_group("transb");
     g.sample_size(10);
@@ -392,7 +408,7 @@ fn f32_speedups_json(results: &[BenchResult], scale: &PerfScale) -> Json {
     Json::Arr(rows)
 }
 
-/// Tiled-vs-reduction `matmul_transb` speedups per lift shape.
+/// GEMM-vs-reduction `matmul_transb` speedups per lift shape.
 fn transb_speedups_json(results: &[BenchResult]) -> Json {
     let mut rows = Vec::new();
     for &(n, k, m) in TRANSB_SIZES {
@@ -621,7 +637,7 @@ fn pipelines_json(scale: &PerfScale) -> (Json, Json) {
 fn main() {
     let scale = perf_scale();
     let mut c = Criterion::default();
-    bench_linalg(&mut c);
+    bench_linalg(&mut c, scale);
     bench_clustering(&mut c);
     bench_sketch(&mut c);
     bench_coreset(&mut c);

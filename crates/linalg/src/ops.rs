@@ -1,8 +1,11 @@
 //! Matrix products and related kernels.
 //!
-//! All kernels use cache-friendly `i-k-j` loop ordering on the row-major
-//! [`Matrix`] layout and switch to scoped-thread row parallelism above a size
-//! threshold (see [`crate::parallel`]).
+//! [`matmul`] and [`matmul_transb`] share one packed-panel,
+//! register-blocked GEMM kernel whose results are bitwise those of the
+//! plain `i-k-j` loop; the `Aᵀ·B` products ([`matmul_transa`], [`gram`])
+//! accumulate rank-1 row updates through a fixed-chunk fold. Every kernel
+//! switches to scoped-thread parallelism above a size threshold (see
+//! [`crate::parallel`]) and is bitwise invariant across worker counts.
 
 use crate::parallel;
 use crate::{LinalgError, Matrix, Result};
@@ -16,7 +19,29 @@ const PAR_FLOPS_THRESHOLD: usize = 1 << 22;
 /// worker count, the same discipline as the sharded Lloyd update.
 const ACCUM_CHUNK: usize = 1024;
 
+/// Rows of `A` per register block of the [`gemm`] microkernel.
+const MR: usize = 4;
+
+/// Columns of `B` per packed panel, and per register block: an
+/// `MR × NR` block of running sums fills the vector registers.
+const NR: usize = 16;
+
+/// Depth of one `k`-block: a `KC × NR` panel slice (32 KiB) stays in L1
+/// while a run of register blocks streams past it.
+const KC: usize = 256;
+
+/// Rows of `A` per row block: their `KC`-wide slice (256 KiB) stays in
+/// L2 while every panel of `B` streams past it (without it, each panel
+/// rereads `A` from memory).
+const MC: usize = 128;
+
 /// Computes the product `A · B`.
+///
+/// Runs the packed-panel [`gemm`] kernel with `B` packed as stored.
+/// Each output element accumulates `a[i][kk]·b[kk][j]` from `+0.0` in
+/// ascending `kk`, one multiply and one add per term, so the result is
+/// bitwise that of the plain `i-k-j` triple loop that skips zero `a`
+/// entries, and bitwise invariant across worker counts.
 ///
 /// # Errors
 ///
@@ -38,53 +63,18 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(n, m);
-    let flops = n * k * m;
-    let bs = b.as_slice();
-    parallel::for_each_row_chunk(
-        c.as_mut_slice(),
-        m,
-        flops >= PAR_FLOPS_THRESHOLD,
-        |row_start, rows_chunk| {
-            for (local_i, crow) in rows_chunk.chunks_exact_mut(m).enumerate() {
-                let i = row_start + local_i;
-                let arow = a.row(i);
-                for (kk, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &bs[kk * m..(kk + 1) * m];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += aik * bv;
-                    }
-                }
-            }
-        },
-    );
-    Ok(c)
+    let (m, bs) = (b.cols(), b.as_slice());
+    Ok(gemm(a, m, |kk, j| bs[kk * m + j]))
 }
 
-/// Rows of `B` per transposed tile in [`matmul_transb`]: the tile
-/// (`TRANSB_TILE × k` doubles) stays cache-resident while the rows of
-/// `A` stream against it — the same discipline as the blocked distance
-/// kernel's center tiles.
-const TRANSB_TILE: usize = 32;
-
-/// Computes `A · Bᵀ` without materializing the full transpose.
+/// Computes `A · Bᵀ` without materializing the transpose.
 ///
-/// The kernel tiles the rows of `B`, transposes each tile once into a
-/// contiguous `k × tile` buffer, and runs the inner loop in `i-k-j`
-/// order against it: every output column in the tile owns an
-/// independent accumulator, so there is no per-element reduction chain
-/// and the `j` loop vectorizes like the dense [`matmul`] kernel. This
-/// is the product behind every center lift (`X = X'·Vᵀ`, the
-/// `lift_out_of_basis` re-expansions, the pseudo-inverse lifts), which
-/// previously ran the reduction-form [`dot`].
-///
-/// Each output element is accumulated over `k` in a fixed order that
-/// depends only on the shapes, and parallelism only partitions rows of
-/// `A` — results are **bitwise invariant across worker counts**.
+/// Runs the same [`gemm`] kernel as [`matmul`]; only the packing differs
+/// (the panels are cut from the rows of `B`). The result is therefore
+/// **bitwise equal** to `matmul(a, &b.transpose())`, and bitwise
+/// invariant across worker counts. This is the product behind every
+/// center lift (`X = X'·Vᵀ`, the `lift_out_of_basis` re-expansions, the
+/// pseudo-inverse lifts).
 ///
 /// # Errors
 ///
@@ -97,50 +87,134 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let (n, k, m) = (a.rows(), a.cols(), b.rows());
+    let (k, bs) = (b.cols(), b.as_slice());
+    Ok(gemm(a, b.rows(), |kk, j| bs[j * k + kk]))
+}
+
+/// The one GEMM kernel: `C = A · B` for the `a.cols() × m` matrix `B`
+/// whose element `(kk, j)` is `b_at(kk, j)`.
+///
+/// `B` is packed once into `NR`-column panels (each `k × NR`,
+/// contiguous, the last one zero-padded). Rows of `C` are split across
+/// threads; each computes `MR × NR` register blocks one `KC`-deep
+/// `k`-block at a time, storing the running sums back to `C` between
+/// `k`-blocks. Padding rows and columns are computed and thrown away.
+///
+/// Every element therefore sums its products from `+0.0` in ascending
+/// `kk`. Such a sum never becomes `−0.0`, so adding the `±0` product of
+/// a zero `a` entry and a finite `b` entry leaves it unchanged: skipping
+/// zero `a` entries only matters when `B` holds `±∞` or NaN (`0·∞` is
+/// NaN). The packed `B` is scanned once, and the skipping instantiation
+/// of the microkernel runs only when it is not finite — exact semantics
+/// for every input.
+fn gemm(a: &Matrix, m: usize, b_at: impl Fn(usize, usize) -> f64) -> Matrix {
+    let (n, k) = a.shape();
     let mut c = Matrix::zeros(n, m);
-    // Transpose B tile by tile: tile t holds B's rows [t·T, t·T+width)
-    // as `width` contiguous columns per dimension, so the inner j loop
-    // below is unit-stride.
-    let tiles: Vec<Vec<f64>> = (0..m.div_ceil(TRANSB_TILE))
-        .map(|t| {
-            let start = t * TRANSB_TILE;
-            let width = TRANSB_TILE.min(m - start);
-            let mut buf = vec![0.0f64; k * width];
-            for (jj, j) in (start..start + width).enumerate() {
-                for (kk, &bv) in b.row(j).iter().enumerate() {
-                    buf[kk * width + jj] = bv;
-                }
+    if k == 0 {
+        return c; // empty sums
+    }
+    let mut panels = vec![0.0f64; m.div_ceil(NR) * k * NR];
+    for (p, panel) in panels.chunks_exact_mut(k * NR).enumerate() {
+        let width = NR.min(m - p * NR);
+        for (kk, prow) in panel.chunks_exact_mut(NR).enumerate() {
+            for (jj, pv) in prow[..width].iter_mut().enumerate() {
+                *pv = b_at(kk, p * NR + jj);
             }
-            buf
-        })
-        .collect();
-    let flops = n * k * m;
+        }
+    }
+    let skip_zeros = !panels.iter().all(|v| v.is_finite());
     parallel::for_each_row_chunk(
         c.as_mut_slice(),
         m,
-        flops >= PAR_FLOPS_THRESHOLD,
+        n * k * m >= PAR_FLOPS_THRESHOLD,
         |row_start, rows_chunk| {
-            for (local_i, crow) in rows_chunk.chunks_exact_mut(m).enumerate() {
-                let arow = a.row(row_start + local_i);
-                for (t, tile) in tiles.iter().enumerate() {
-                    let start = t * TRANSB_TILE;
-                    let width = TRANSB_TILE.min(m - start);
-                    let cslice = &mut crow[start..start + width];
-                    for (kk, &aik) in arow.iter().enumerate() {
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let trow = &tile[kk * width..(kk + 1) * width];
-                        for (cv, &bv) in cslice.iter_mut().zip(trow) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
+            if skip_zeros {
+                gemm_rows::<true>(a, &panels, m, row_start, rows_chunk);
+            } else {
+                gemm_rows::<false>(a, &panels, m, row_start, rows_chunk);
             }
         },
     );
-    Ok(c)
+    c
+}
+
+/// Computes the rows `row_start..` of `C` held in `out` (width `m`)
+/// against the packed `panels` of `B`; see [`gemm`]. A register block
+/// that runs past the last row of `A` reads that row again.
+fn gemm_rows<const SKIP_ZEROS: bool>(
+    a: &Matrix,
+    panels: &[f64],
+    m: usize,
+    row_start: usize,
+    out: &mut [f64],
+) {
+    let (n, k) = a.shape();
+    let rows = out.len() / m;
+    for ic in (0..rows).step_by(MC) {
+        let ic_end = (ic + MC).min(rows);
+        for kb in (0..k).step_by(KC) {
+            let kc = KC.min(k - kb);
+            for (p, panel) in panels.chunks_exact(k * NR).enumerate() {
+                let bslice = &panel[kb * NR..(kb + kc) * NR];
+                let (j0, width) = (p * NR, NR.min(m - p * NR));
+                for i0 in (ic..ic_end).step_by(MR) {
+                    let live = MR.min(ic_end - i0);
+                    let arows: [&[f64]; MR] = std::array::from_fn(|r| {
+                        &a.row((row_start + i0 + r).min(n - 1))[kb..kb + kc]
+                    });
+                    let mut acc = [[0.0f64; NR]; MR];
+                    for (r, accr) in acc[..live].iter_mut().enumerate() {
+                        accr[..width].copy_from_slice(&out[(i0 + r) * m + j0..][..width]);
+                    }
+                    let acc = microkernel::<SKIP_ZEROS>(arows, bslice, acc);
+                    for (r, accr) in acc[..live].iter().enumerate() {
+                        out[(i0 + r) * m + j0..][..width].copy_from_slice(&accr[..width]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adds `Σ_kk arows[r][kk] · bslice[kk][j]` to `acc[r][j]`, in
+/// ascending `kk`, one multiply and one add per term; `SKIP_ZEROS` leaves
+/// out the terms whose `a` entry is zero.
+///
+/// The `MR` rows are spelled out rather than looped over, so only the
+/// `NR`-wide row updates need unrolling; the SLP vectorizer (run by
+/// rustc at `opt-level = 3`) then keeps the whole block in vector
+/// registers.
+#[inline(always)]
+fn microkernel<const SKIP_ZEROS: bool>(
+    arows: [&[f64]; MR],
+    bslice: &[f64],
+    mut acc: [[f64; NR]; MR],
+) -> [[f64; NR]; MR] {
+    let [c0, c1, c2, c3] = &mut acc;
+    let [r0, r1, r2, r3] = arows;
+    // One known length for every row lets the compiler drop the
+    // per-`kk` bounds checks.
+    let kc = bslice.len() / NR;
+    let (r0, r1, r2, r3) = (&r0[..kc], &r1[..kc], &r2[..kc], &r3[..kc]);
+    for (kk, brow) in bslice.chunks_exact(NR).enumerate() {
+        let bv: [f64; NR] = brow.try_into().expect("NR-wide row");
+        axpy::<SKIP_ZEROS>(c0, r0[kk], &bv);
+        axpy::<SKIP_ZEROS>(c1, r1[kk], &bv);
+        axpy::<SKIP_ZEROS>(c2, r2[kk], &bv);
+        axpy::<SKIP_ZEROS>(c3, r3[kk], &bv);
+    }
+    acc
+}
+
+/// `c[j] += av · bv[j]` for one row of the register block.
+#[inline(always)]
+fn axpy<const SKIP_ZEROS: bool>(c: &mut [f64; NR], av: f64, bv: &[f64; NR]) {
+    if SKIP_ZEROS && av == 0.0 {
+        return;
+    }
+    for j in 0..NR {
+        c[j] += av * bv[j];
+    }
 }
 
 /// Computes `Aᵀ · B`.
@@ -413,8 +487,8 @@ mod tests {
 
     #[test]
     fn matmul_transb_bitwise_invariant_across_worker_counts() {
-        // Several tiles wide and past the parallel threshold:
-        // 2000 · 40 · 96 ≈ 7.7M ≥ 2^22, 96 columns = 3 tiles.
+        // Several panels wide and past the parallel threshold:
+        // 2000 · 40 · 96 ≈ 7.7M ≥ 2^22, 96 columns = 6 panels.
         let a = Matrix::from_fn(2000, 40, |i, j| {
             (((i * 17 + j * 5) % 101) as f64 - 50.0) * 0.03
         });
@@ -425,25 +499,75 @@ mod tests {
         let reference = matmul_transb(&a, &b).unwrap();
         for workers in [2, 4, 8] {
             parallel::set_worker_count(workers);
-            assert!(
-                matmul_transb(&a, &b).unwrap() == reference,
+            assert_eq!(
+                bits(&matmul_transb(&a, &b).unwrap()),
+                bits(&reference),
                 "{workers} workers"
             );
         }
         parallel::set_worker_count(0);
     }
 
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn matmul_transb_ragged_tile_widths() {
-        // Column counts straddling the tile width, including the ragged
-        // last tile.
-        for m in [1usize, 31, 32, 33, 63, 65] {
-            let a = Matrix::from_fn(7, 19, |i, j| (i as f64 - j as f64) * 0.5);
-            let b = Matrix::from_fn(m, 19, |i, j| ((i + 2 * j) % 11) as f64 * 0.25);
-            let got = matmul_transb(&a, &b).unwrap();
-            let expected = matmul(&a, &b.transpose()).unwrap();
-            assert!(got.approx_eq(&expected, 1e-12), "m={m}");
+    fn matmul_transb_bitwise_equals_matmul_of_transpose() {
+        // Widths around the panel width NR (ragged last panel), depths
+        // around the k-block KC, row counts around the register block MR.
+        for m in [1, NR - 1, NR, NR + 1, 3 * NR + 5] {
+            for k in [1, KC - 1, KC, KC + 1] {
+                for n in [1, MR + 1, MC + 3] {
+                    let a = Matrix::from_fn(n, k, |i, j| {
+                        if (i + j) % 6 == 0 {
+                            0.0
+                        } else {
+                            (i as f64 - j as f64) * 0.37 + 0.1
+                        }
+                    });
+                    let b = Matrix::from_fn(m, k, |i, j| ((i + 2 * j) % 11) as f64 * 0.29 - 1.3);
+                    let got = matmul_transb(&a, &b).unwrap();
+                    let expected = matmul(&a, &b.transpose()).unwrap();
+                    assert_eq!(bits(&got), bits(&expected), "n={n}, k={k}, m={m}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn empty_dimensions_give_empty_or_zero_products() {
+        let c = matmul(&Matrix::zeros(3, 0), &Matrix::zeros(0, 4)).unwrap();
+        assert!(c == Matrix::zeros(3, 4));
+        assert_eq!(
+            matmul(&Matrix::zeros(0, 3), &Matrix::zeros(3, 4))
+                .unwrap()
+                .shape(),
+            (0, 4)
+        );
+        assert_eq!(
+            matmul_transb(&Matrix::zeros(3, 2), &Matrix::zeros(0, 2))
+                .unwrap()
+                .shape(),
+            (3, 0)
+        );
+    }
+
+    #[test]
+    fn zero_a_entries_are_skipped_only_where_it_matters() {
+        // 0·∞ would make the first entry NaN; the i-k-j semantics skip
+        // the zero term, so it is 2. A finite B takes the non-skipping
+        // instantiation with the same result.
+        let a = mat(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let b = mat(&[&[f64::INFINITY, 3.0], &[2.0, f64::NAN]]);
+        let c = matmul(&a, &b).unwrap();
+        assert_eq!(c[(0, 0)], 2.0);
+        assert!(c[(0, 1)].is_nan());
+        assert_eq!(c[(1, 0)], f64::INFINITY);
+        assert_eq!(c[(1, 1)], 3.0);
+        let finite = mat(&[&[-1.0, 3.0], &[2.0, 0.5]]);
+        let c = matmul(&a, &finite).unwrap();
+        assert_eq!(bits(&c), bits(&mat(&[&[2.0, 0.5], &[-1.0, 3.0]])));
     }
 
     #[test]

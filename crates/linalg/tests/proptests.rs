@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use ekm_linalg::{cholesky::Cholesky, distance, eig, ops, pinv, qr, svd, Matrix};
+use ekm_linalg::{cholesky::Cholesky, distance, eig, ops, parallel, pinv, qr, svd, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with dimensions in [1, max_dim] and entries in [-10, 10].
@@ -9,6 +9,107 @@ fn matrix_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Ma
         proptest::collection::vec(-10.0f64..10.0, r * c)
             .prop_map(move |data| Matrix::from_vec(r, c, data))
     })
+}
+
+/// The plain `i-k-j` product that skips zero `a` entries: every output
+/// element sums `a[i][kk]·b[kk][j]` from `+0.0` in ascending `kk`.
+/// `ops::matmul` must reproduce it bit for bit.
+fn naive_ikj(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for (kk, &aik) in a.row(i).iter().enumerate() {
+            if aik == 0.0 {
+                continue;
+            }
+            for j in 0..b.cols() {
+                c[(i, j)] += aik * b[(kk, j)];
+            }
+        }
+    }
+    c
+}
+
+/// Bit patterns of `m`'s entries, every NaN mapped to one pattern (Rust
+/// leaves the payload of a NaN result unspecified).
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice()
+        .iter()
+        .map(|x| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// A Gaussian `rows × cols` matrix with about one entry in five set to
+/// `±0.0`, so the zero-skip rule is exercised.
+fn sparse_gaussian(seed: u64, rows: usize, cols: usize) -> Matrix {
+    let g = ekm_linalg::random::gaussian_matrix(seed, rows, cols, 1.0);
+    Matrix::from_fn(rows, cols, |i, j| match (i * 7 + j * 3) % 10 {
+        0 => 0.0,
+        5 => -0.0,
+        _ => g[(i, j)],
+    })
+}
+
+/// Checks `matmul(a, b)` against [`naive_ikj`] and `matmul_transb(a, bᵀ)`
+/// against `matmul(a, b)`, bit for bit, at worker counts {1, 2, 4, 8}.
+fn check_matmul_bitwise(a: &Matrix, b: &Matrix) -> Result<(), String> {
+    let reference = bits(&naive_ikj(a, b));
+    let bt = b.transpose();
+    let shape = (a.rows(), a.cols(), b.cols());
+    let outcome = [1, 2, 4, 8].into_iter().try_for_each(|workers| {
+        parallel::set_worker_count(workers);
+        if bits(&ops::matmul(a, b).unwrap()) != reference {
+            return Err(format!("matmul {shape:?}, {workers} workers"));
+        }
+        if bits(&ops::matmul_transb(a, &bt).unwrap()) != reference {
+            return Err(format!("matmul_transb {shape:?}, {workers} workers"));
+        }
+        Ok(())
+    });
+    parallel::set_worker_count(0);
+    outcome
+}
+
+/// The GEMM kernel on shapes that straddle its blocking: rows not a
+/// multiple of the 4-row register block (133 also spans two 128-row
+/// blocks), columns around the 16-wide panel plus the disPCA (115) and
+/// JL (392) widths, depths around the 256-deep `k`-block plus the JL
+/// input dimension (784). The largest shapes take the threaded path.
+#[test]
+fn matmul_bitwise_matches_naive_on_ragged_shapes() {
+    let mut seed = 0;
+    for n in [1usize, 5, 133] {
+        for m in [1usize, 15, 16, 17, 115, 392] {
+            for k in [1usize, 255, 256, 257, 784] {
+                seed += 2;
+                let a = sparse_gaussian(seed, n, k);
+                let b = ekm_linalg::random::gaussian_matrix(seed + 1, k, m, 1.0);
+                check_matmul_bitwise(&a, &b).unwrap();
+            }
+        }
+    }
+}
+
+/// With `±∞` or NaN in `B`, skipping a zero `a` entry decides the
+/// result (`0·∞` is NaN): the kernel must still match [`naive_ikj`]
+/// exactly, including which entries are NaN and which are infinite.
+#[test]
+fn matmul_with_non_finite_b_matches_naive() {
+    for (n, k, m) in [(5usize, 3usize, 17usize), (9, 257, 33), (133, 300, 40)] {
+        let a = sparse_gaussian(41, n, k);
+        let b = Matrix::from_fn(k, m, |kk, j| match (kk * 5 + j * 11) % 13 {
+            0 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            8 => f64::NAN,
+            _ => (kk as f64 - j as f64) * 0.25,
+        });
+        check_matmul_bitwise(&a, &b).unwrap();
+    }
 }
 
 /// Checks `symmetric_eigen(a)` against the contract, with tolerances
@@ -123,6 +224,18 @@ proptest! {
         let left = ops::matmul(&a, &b.add(&c).unwrap()).unwrap();
         let right = ops::matmul(&a, &b).unwrap().add(&ops::matmul(&a, &c).unwrap()).unwrap();
         prop_assert!(left.approx_eq(&right, 1e-9));
+    }
+
+    /// Random small shapes: the kernel is bitwise the naive `i-k-j`
+    /// product, and `matmul_transb` bitwise `matmul` of the transpose.
+    #[test]
+    fn matmul_bitwise_matches_naive(
+        (n, k, m) in (1usize..40, 1usize..300, 1usize..40),
+        seed in 0u64..100_000,
+    ) {
+        let a = sparse_gaussian(seed, n, k);
+        let b = ekm_linalg::random::gaussian_matrix(seed ^ 1, k, m, 3.0);
+        check_matmul_bitwise(&a, &b).unwrap();
     }
 
     #[test]

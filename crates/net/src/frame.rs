@@ -329,6 +329,21 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>, usize)> {
     let mut header = [0u8; 9];
     r.read_exact(&mut header)
         .map_err(|e| io_err("frame header read", e))?;
+    read_body(r, header)
+}
+
+/// Up-front reservation cap of [`read_body`]: a payload larger than this
+/// grows its buffer only as its bytes arrive.
+const PAYLOAD_RESERVE: usize = 1 << 20;
+
+/// Checks a frame header and reads the payload it declares, returning
+/// `(kind, payload, bit_len)`.
+///
+/// The buffer reserves at most [`PAYLOAD_RESERVE`] bytes before the first
+/// payload byte arrives and grows only with the bytes received, so a
+/// header declaring up to [`MAX_FRAME_BITS`] followed by a short stream
+/// costs what the stream delivered, not what the header claimed.
+fn read_body<R: Read>(r: &mut R, header: [u8; 9]) -> Result<(u8, Vec<u8>, usize)> {
     let kind = header[0];
     let bit_len = u64::from_be_bytes(header[1..].try_into().expect("8-byte slice"));
     if bit_len > MAX_FRAME_BITS {
@@ -337,9 +352,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>, usize)> {
             detail: format!("oversized frame: {bit_len} bits exceeds the {MAX_FRAME_BITS}-bit cap"),
         });
     }
-    let mut payload = vec![0u8; (bit_len as usize).div_ceil(8)];
-    r.read_exact(&mut payload)
+    let len = (bit_len as usize).div_ceil(8);
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+    let got = r
+        .take(len as u64)
+        .read_to_end(&mut payload)
         .map_err(|e| io_err("frame payload read (truncated frame?)", e))?;
+    if got < len {
+        return Err(NetError::Transport {
+            context: "frame payload read (truncated frame?)",
+            detail: format!("stream ended {got} bytes into a {len}-byte payload"),
+        });
+    }
     Ok((kind, payload, bit_len as usize))
 }
 
@@ -374,18 +398,7 @@ pub fn try_read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>, usize)>
         }
         filled += n;
     }
-    let kind = header[0];
-    let bit_len = u64::from_be_bytes(header[1..].try_into().expect("8-byte slice"));
-    if bit_len > MAX_FRAME_BITS {
-        return Err(NetError::Transport {
-            context: "frame header read",
-            detail: format!("oversized frame: {bit_len} bits exceeds the {MAX_FRAME_BITS}-bit cap"),
-        });
-    }
-    let mut payload = vec![0u8; (bit_len as usize).div_ceil(8)];
-    r.read_exact(&mut payload)
-        .map_err(|e| io_err("frame payload read (truncated frame?)", e))?;
-    Ok(Some((kind, payload, bit_len as usize)))
+    read_body(r, header).map(Some)
 }
 
 /// Reads one frame and checks its kind.
@@ -482,6 +495,22 @@ mod tests {
             NetError::Transport { detail, .. } => assert!(detail.contains("oversized")),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn huge_declared_payload_ending_early_is_a_typed_error() {
+        // A header declaring the largest legal payload, then 16 bytes,
+        // then EOF: a truncation error, with no 8 GiB buffer reserved.
+        let mut buf = vec![FRAME_MSG];
+        buf.extend_from_slice(&MAX_FRAME_BITS.to_be_bytes());
+        buf.extend_from_slice(&[0xA5; 16]);
+        let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
+        match err {
+            NetError::Transport { detail, .. } => assert!(detail.contains("16 bytes"), "{detail}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let err = try_read_frame(&mut Trickle(Cursor::new(&buf))).unwrap_err();
+        assert!(matches!(err, NetError::Transport { .. }));
     }
 
     #[test]
